@@ -1,4 +1,4 @@
-"""The benchmark's four workloads, driven through the program's public API.
+"""The benchmark's three workloads, driven through the program's public API.
 
 Each workload function runs one *repetition*: it builds its inputs from
 the seed (set-up), runs a fixed amount of closed-loop work from a single
@@ -17,7 +17,7 @@ import random
 import time
 from array import array
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List
+from typing import Any, Dict, List
 
 from repro.core.agw import (
     VIRTUAL_8VCPU,
@@ -45,10 +45,6 @@ RESUME_RATE = 0.02
 TRAFFIC_MBPS = 0.01
 FLEET_TICK = 1.0
 AGW_CONFIG = AgwConfig(hardware=VIRTUAL_8VCPU)
-# ue_churn puts all 2,000 UEs on one AGW, where a tick's attach arrivals
-# can briefly queue past the MME's default congestion threshold (25); the
-# workload measures flow-rule churn, so no attach may be shed.
-CHURN_AGW_CONFIG = AgwConfig(hardware=VIRTUAL_8VCPU, mme_max_pending=1_000)
 UES_PER_ENB = 96
 # Host time is sampled once per STEP of simulated time (one CPU-model
 # quantum); after the timed phase the fleet stops and DRAIN_S lets
@@ -64,19 +60,19 @@ SIZES = {
         # CPU model's 50 ms fluid polling still dominates.
         "fleet_cohort": {"agws": 100, "subscribers": 100_000,
                          "sampled": 500, "sim_s": 30.0},
-        # 150 sim-s: long enough that ~1,400 attached sessions (~7k
-        # rules) make flow-rule removal the largest cost.
-        "ue_churn": {"ues": 2_000, "sim_s": 150.0},
-        "checkin_storm": {"subscribers": 20_000, "gateways": 800,
-                          "edits": 20},
+        # The store is provisioned once per repetition and the storm
+        # replayed 8 times over it; 200 check-ins leave ten beyond the
+        # 95th percentile.
+        "checkin_storm": {"subscribers": 20_000, "gateways": 200,
+                          "edits": 20, "storms": 8},
         "datapath_forward": {"sessions": 2_000, "churn_sessions": 50,
                              "packets": 40_000},
     },
     "small": {
         "fleet_cohort": {"agws": 4, "subscribers": 2_000, "sampled": 20,
                          "sim_s": 10.0},
-        "ue_churn": {"ues": 100, "sim_s": 20.0},
-        "checkin_storm": {"subscribers": 2_000, "gateways": 20, "edits": 5},
+        "checkin_storm": {"subscribers": 2_000, "gateways": 20, "edits": 5,
+                          "storms": 2},
         "datapath_forward": {"sessions": 200, "churn_sessions": 10,
                              "packets": 2_000},
     },
@@ -88,9 +84,10 @@ class Rep:
     """One repetition's measurements, outcome counts and checks."""
 
     setup_s: float = 0.0
-    work: float = 0.0                  # operations completed while timed
-    # Host time per step; an array keeps the benchmark's own memory small.
-    steps_s: array = field(default_factory=lambda: array("d"))
+    work: float = 0.0                  # operations in one replay
+    # Host time per step of each replay of the timed phase; arrays keep the
+    # benchmark's own memory small.
+    replays: List[array] = field(default_factory=list)
     attempted: int = 0
     failed: int = 0
     canaries: Dict[str, Any] = field(default_factory=dict)
@@ -98,11 +95,11 @@ class Rep:
     # Per-layer figures read from the program's public state at the end.
     probes: Dict[str, float] = field(default_factory=dict)
 
-    @property
-    def timed_s(self) -> float:
-        """Host time inside the program's calls (the benchmark's own input
-        generation and checks between steps are excluded)."""
-        return sum(self.steps_s)
+    def replay(self) -> array:
+        """Step times of one more replay: host time inside the program's
+        calls, without the benchmark's own input generation and checks."""
+        self.replays.append(array("d"))
+        return self.replays[-1]
 
     def check(self, ok: bool, what: str) -> None:
         if not ok:
@@ -134,7 +131,7 @@ def _latency_percentiles(monitor: Monitor, name: str) -> Dict[str, float]:
             "sample_attach_latency_p99_s": series.percentile(99.0)}
 
 
-# -- fleet_cohort and ue_churn: one simulated site ------------------------------
+# -- fleet_cohort: a simulated fleet of AGWs ---------------------------------
 
 
 def _cohort(size: int) -> CohortSpec:
@@ -143,18 +140,17 @@ def _cohort(size: int) -> CohortSpec:
                       resume_rate=RESUME_RATE, traffic_mbps=TRAFFIC_MBPS)
 
 
-def _simulated_fleet(rep: Rep, make_sim: Callable[[], Simulator], seed: int,
-                     agws: int, cohort: int, sampled: int, sim_s: float,
-                     config: AgwConfig) -> None:
+def fleet_cohort(rep: Rep, make_sim, seed: int, agws: int, subscribers: int,
+                 sampled: int, sim_s: float) -> None:
     """AGW 0 serves ``sampled`` coroutine UEs through real eNodeBs; a
-    ``UeFleet`` spreads a ``cohort`` of aggregated subscribers over every
-    AGW.  ue_churn is the all-coroutine case (one AGW, empty cohort)."""
+    ``UeFleet`` spreads a cohort of ``subscribers`` aggregated subscribers
+    over every AGW."""
     t0 = time.perf_counter()
     sim = make_sim()
     rng = RngRegistry(seed)
     monitor = Monitor()
     network = Network(sim, rng)
-    gateways = [AccessGateway(sim, network, f"agw-{i}", config=config,
+    gateways = [AccessGateway(sim, network, f"agw-{i}", config=AGW_CONFIG,
                               monitor=monitor, rng=rng)
                 for i in range(agws)]
     home = gateways[0]
@@ -176,7 +172,7 @@ def _simulated_fleet(rep: Rep, make_sim: Callable[[], Simulator], seed: int,
     sim.run(until=1.0)
     rep.check(all(enb.s1_ready for enb in enbs), "S1 setup failed")
     fleet = UeFleet(sim, rng, [AgwFleetAdapter(g) for g in gateways],
-                    [_cohort(cohort)], monitor=monitor, tick=FLEET_TICK,
+                    [_cohort(subscribers)], monitor=monitor, tick=FLEET_TICK,
                     name="bench")
     fleet.add_sample_ues("subs", ues)
     fleet.start()
@@ -186,13 +182,14 @@ def _simulated_fleet(rep: Rep, make_sim: Callable[[], Simulator], seed: int,
     events_before = _events(sim)
     start = sim.now
     steps = int(round(sim_s / STEP))
+    times = rep.replay()
     clock = time.perf_counter
     for k in range(1, steps + 1):
         t_step = clock()
         sim.run(until=start + k * STEP)
-        rep.steps_s.append(clock() - t_step)
+        times.append(clock() - t_step)
     events = _events(sim) - events_before
-    rep.work = (cohort + sampled) * sim_s
+    rep.work = (subscribers + sampled) * sim_s
 
     fleet.stop()
     sim.run(until=sim.now + DRAIN_S)
@@ -216,7 +213,7 @@ def _simulated_fleet(rep: Rep, make_sim: Callable[[], Simulator], seed: int,
               f"for {sample_attached} attached coroutine UEs")
     rep.check(all(g.pipelined.session_count() == 0 for g in gateways[1:]),
               "a fleet-only AGW holds per-UE datapath sessions")
-    rep.check(attached <= cohort, "more subscribers attached than exist")
+    rep.check(attached <= subscribers, "more subscribers attached than exist")
     rep.canaries = {
         "attached_at_end": attached,
         "sample_attached_at_end": sample_attached,
@@ -231,16 +228,6 @@ def _simulated_fleet(rep: Rep, make_sim: Callable[[], Simulator], seed: int,
         "sim.monitor.retained_samples": _retained(monitor),
         **_switch_probes([g.pipelined for g in gateways]),
     }
-
-
-def fleet_cohort(rep: Rep, make_sim, seed: int, agws: int, subscribers: int,
-                 sampled: int, sim_s: float) -> None:
-    _simulated_fleet(rep, make_sim, seed, agws, subscribers, sampled, sim_s,
-                     AGW_CONFIG)
-
-
-def ue_churn(rep: Rep, make_sim, seed: int, ues: int, sim_s: float) -> None:
-    _simulated_fleet(rep, make_sim, seed, 1, 0, ues, sim_s, CHURN_AGW_CONFIG)
 
 
 def _switch_probes(pipelineds: List[Pipelined]) -> Dict[str, float]:
@@ -273,10 +260,13 @@ WARMUP_CHECKINS = 100
 
 
 def checkin_storm(rep: Rep, make_sim, seed: int, subscribers: int,
-                  gateways: int, edits: int) -> None:
+                  gateways: int, edits: int, storms: int) -> None:
     """Every gateway holds a mirror of the provisioned store; ``edits``
     keys then change and each gateway checks in and walks the digest tree
-    until converged, one gateway after another."""
+    until converged, one gateway after another.  The store is provisioned
+    once and the storm replayed ``storms`` times, each time against a
+    fresh ``StateSync``: the store is only read, so every replay does the
+    same work check-in for check-in."""
     rnd = random.Random(seed)
     t0 = time.perf_counter()
     store = ConfigStore()
@@ -331,30 +321,33 @@ def checkin_storm(rep: Rep, make_sim, seed: int, subscribers: int,
         return outcome
 
     storm(StateSync(sim, store, digests=digests), WARMUP_CHECKINS)
-    statesync = StateSync(sim, store, digests=digests, monitor=Monitor())
     gc.collect()
     rep.setup_s = time.perf_counter() - t0
 
-    outcome = storm(statesync, gateways, rep.steps_s)
-    converged, rounds = outcome["converged"], outcome["rounds"]
-    wrong_delta, wrong_roots = outcome["wrong_delta"], outcome["wrong_roots"]
     rep.work = gateways
+    per_storm = []
+    for _ in range(storms):
+        statesync = StateSync(sim, store, digests=digests, monitor=Monitor())
+        outcome = storm(statesync, gateways, rep.replay())
+        per_storm.append(dict(outcome, **statesync.stats))
+    stats = per_storm[0]
 
-    rep.attempted = gateways
-    rep.failed = gateways - converged
-    rep.check(converged == gateways,
-              f"{gateways - converged} gateways did not converge")
-    rep.check(wrong_roots == 0,
-              f"{wrong_roots} gateways ended with roots unequal to the store's")
-    rep.check(wrong_delta == 0,
-              f"{wrong_delta} gateways received a delta other than the edits")
-    stats = statesync.stats
+    rep.attempted = gateways * storms
+    rep.failed = sum(gateways - o["converged"] for o in per_storm)
+    rep.check(all(o == stats for o in per_storm),
+              "replays of one storm did not repeat each other")
+    rep.check(stats["converged"] == gateways,
+              f"{gateways - stats['converged']} gateways did not converge")
+    rep.check(stats["wrong_roots"] == 0, f"{stats['wrong_roots']} gateways "
+              "ended with roots unequal to the store's")
+    rep.check(stats["wrong_delta"] == 0, f"{stats['wrong_delta']} gateways "
+              "received a delta other than the edits")
     rep.check(stats["checkins"] == gateways
               and stats["digest_syncs"] == gateways,
               "not every check-in opened a digest walk")
     rep.canaries = {
-        "converged": converged,
-        "reconcile_rounds": rounds,
+        "converged": stats["converged"],
+        "reconcile_rounds": stats["rounds"],
         "reconcile_upserts": stats["reconcile_upserts"],
         "tx_bytes": stats["tx_bytes"],
         "rx_bytes": stats["rx_bytes"],
@@ -363,7 +356,7 @@ def checkin_storm(rep: Rep, make_sim, seed: int, subscribers: int,
     rep.probes = {
         "core.orchestrator.statesync.tx_bytes_per_checkin":
             stats["tx_bytes"] / gateways,
-        "core.sync.rounds_per_checkin": rounds / gateways,
+        "core.sync.rounds_per_checkin": stats["rounds"] / gateways,
         "sim.monitor.retained_samples": _retained(statesync.monitor),
     }
 
@@ -373,7 +366,8 @@ def checkin_storm(rep: Rep, make_sim, seed: int, subscribers: int,
 METER_MBPS = 100.0
 PACKET_RATE = 10_000.0   # simulated packets per second, all flows together
 BURST = 10               # packets arriving at one simulated instant
-CHURN_EVERY = 250        # packets between session remove + install
+CHURN_EVERY = 250        # packets between session remove + install (a
+                         # multiple of BURST)
 ZIPF_S = 1.1
 
 
@@ -429,18 +423,20 @@ def datapath_forward(rep: Rep, make_sim, seed: int, sessions: int,
 
     clock = time.perf_counter
     inject = switch.inject
+    times = rep.replay()
     start = sim.now
-    for i, dst in enumerate(destinations):
-        if i % BURST == 0:
-            sim.run(until=start + i / PACKET_RATE)
-        if i and i % CHURN_EVERY == 0:
+    for first in range(0, packets, BURST):
+        sim.run(until=start + first / PACKET_RATE)
+        if first and first % CHURN_EVERY == 0:
             pipelined.remove_session(churn.pop(0))
             churn.append(install(serial))
             serial += 1
-        pkt = ip_packet("8.8.8.8", dst, dport=80)
-        t_packet = clock()
-        inject(pkt, port)
-        rep.steps_s.append(clock() - t_packet)
+        burst = [ip_packet("8.8.8.8", dst, dport=80)
+                 for dst in destinations[first:first + BURST]]
+        t_burst = clock()
+        for pkt in burst:
+            inject(pkt, port)
+        times.append(clock() - t_burst)
     rep.work = packets
 
     stats = switch.stats
@@ -476,14 +472,12 @@ def datapath_forward(rep: Rep, make_sim, seed: int, sessions: int,
 # step percentiles) are in each workload.
 WORK_UNITS = {
     "fleet_cohort": ("subscriber-simulated-second", f"{STEP} s simulated"),
-    "ue_churn": ("subscriber-simulated-second", f"{STEP} s simulated"),
     "checkin_storm": ("check-in with its reconcile walk", "one check-in"),
-    "datapath_forward": ("packet", "one packet"),
+    "datapath_forward": ("packet", f"a burst of {BURST} packets"),
 }
 
 WORKLOADS = {
     "fleet_cohort": fleet_cohort,
-    "ue_churn": ue_churn,
     "checkin_storm": checkin_storm,
     "datapath_forward": datapath_forward,
 }

@@ -96,7 +96,7 @@ def test_refuses_to_run_without_program_sources(tmp_path):
     shutil.copytree(run.HERE, tmp_path / "perfbench",
                     ignore=shutil.ignore_patterns("__pycache__"))
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "ue_churn",
+        [sys.executable, "perfbench/run.py", "--workload", "fleet_cohort",
          "--seed", "1", "--seconds", "1", "--trace", "0"],
         cwd=tmp_path, capture_output=True, text=True, timeout=60,
         check=False)
