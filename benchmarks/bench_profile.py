@@ -1,9 +1,9 @@
-"""Self-profiler harness: per-subsystem wall-clock shares, parity-gated.
+"""Self-profiler harness: per-layer wall-clock shares, parity-gated.
 
-Emits ``BENCH_profile.json`` — the committed per-subsystem breakdown of
-host CPU time (kernel dispatch vs. timer wheel vs. RPC vs. digest sync
-vs. fleet ticks) — by replaying the repo's own bench legs under
-``repro.obs.profiler``:
+Emits ``BENCH_profile.json`` — the committed per-layer breakdown of
+host CPU time (event kernel vs. CPU model vs. AGW services vs. RPC vs.
+digest sync vs. fleet ticks) — by replaying the repo's own bench legs
+under ``repro.obs.profiler``:
 
 - **kernel churn** and **attach storm**: ``bench_kernel``'s smoke legs;
 - **fleet**: ``bench_fleet``'s smoke fleet leg;
@@ -19,8 +19,9 @@ and the disabled run's canaries must match the committed
 equality is the hard overhead ceiling for the disabled path: the hooks
 are always compiled in, so the canary check proves they cost no
 behaviour.  Shares themselves are machine-bound: recorded, printed,
-never gated; ``--check`` gates canaries and the *presence* of each leg's
-expected subsystems.
+never gated; ``--check`` gates canaries, the *presence* of each leg's
+expected layers, and an ``unattributed`` share below
+``MAX_UNATTRIBUTED`` on every leg.
 
 Usage::
 
@@ -51,7 +52,8 @@ from bench_sync import build_store, synced_mirror  # noqa: E402
 
 from repro.core.orchestrator.statesync import StateSync  # noqa: E402
 from repro.core.sync import DigestIndex, ReconcileClient  # noqa: E402
-from repro.obs.profiler import Profiler, detach, install  # noqa: E402
+from repro.obs.profiler import (UNATTRIBUTED, Profiler, detach,  # noqa: E402
+                                install)
 from repro.sim.kernel import Simulator  # noqa: E402
 
 SIZES = {
@@ -73,14 +75,19 @@ CANARIES = {
              "converged"),
 }
 
-#: Subsystems each profiled leg must attribute time to; absence means a
-#: hook was lost (a refactor dropped the push/pop site).
+#: Layers each profiled leg must attribute time to; absence means a
+#: hook was lost (a refactor dropped the kernel seam or a push/pop site).
+#: ``core.agw.s1ap_frontend`` is the storm's busiest RPC handler.
 EXPECTED_SUBSYSTEMS = {
-    "kernel_churn": ("kernel.loop", "kernel.dispatch"),
-    "kernel_storm": ("kernel.dispatch", "rpc.deliver"),
-    "fleet": ("kernel.dispatch", "fleet.tick"),
+    "kernel_churn": ("sim.kernel",),
+    "kernel_storm": ("sim.kernel", "core.agw.s1ap_frontend"),
+    "fleet": ("sim.kernel", "workloads.fleet"),
     "sync": ("sync.digest_hash", "sync.reconcile", "rpc.serialize"),
 }
+
+#: Largest share of a leg's profiled time that may go to dispatched
+#: callables no layer owns; above it the breakdown stops explaining the leg.
+MAX_UNATTRIBUTED = 0.10
 
 NETWORK = "default"
 
@@ -219,12 +226,17 @@ def check(fresh: dict, committed: dict, mode: str) -> list:
                     f"{leg} canary {key!r} changed: "
                     f"{new[leg]['canaries'][key]} vs committed "
                     f"{old[leg]['canaries'][key]}")
-        present = set(new[leg]["subsystems"])
+        present = new[leg]["subsystems"]
         for subsystem in EXPECTED_SUBSYSTEMS[leg]:
             if subsystem not in present:
                 failures.append(
                     f"{leg}: subsystem {subsystem!r} missing from the "
                     "profiled breakdown (hook lost?)")
+        unattributed = present.get(UNATTRIBUTED, {}).get("share", 0.0)
+        if unattributed >= MAX_UNATTRIBUTED:
+            failures.append(
+                f"{leg}: {UNATTRIBUTED!r} share {unattributed} is not below "
+                f"{MAX_UNATTRIBUTED}")
     return failures
 
 

@@ -129,11 +129,7 @@ def entry_digest(key: str, value: Any) -> int:
     prof = _profiler.ACTIVE
     if prof is None:
         return _entry_digest(key, value)
-    prof.push("sync.digest_hash")
-    try:
-        return _entry_digest(key, value)
-    finally:
-        prof.pop()
+    return prof.call("sync.digest_hash", _entry_digest, key, value)
 
 
 def key_hash(key: str) -> int:

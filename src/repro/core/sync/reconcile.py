@@ -138,11 +138,7 @@ class ReconcileServer:
         prof = _profiler.ACTIVE
         if prof is None:
             return self._handle(request)
-        prof.push("sync.reconcile")
-        try:
-            return self._handle(request)
-        finally:
-            prof.pop()
+        return prof.call("sync.reconcile", self._handle, request)
 
     def _handle(self, request: Dict[str, Any]) -> Dict[str, Any]:
         network_id = request["network_id"]

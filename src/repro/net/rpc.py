@@ -74,11 +74,7 @@ def payload_bytes(obj: Any) -> int:
     prof = _profiler.ACTIVE
     if prof is None:
         return _payload_bytes(obj)
-    prof.push("rpc.serialize")
-    try:
-        return _payload_bytes(obj)
-    finally:
-        prof.pop()
+    return prof.call("rpc.serialize", _payload_bytes, obj)
 
 
 class RpcError(Exception):
@@ -132,17 +128,6 @@ class RpcServer:
     # -- internals ---------------------------------------------------------------
 
     def _handle(self, dgram: Datagram) -> None:
-        prof = _profiler.ACTIVE
-        if prof is None:
-            self._dispatch(dgram)
-            return
-        prof.push("rpc.deliver")
-        try:
-            self._dispatch(dgram)
-        finally:
-            prof.pop()
-
-    def _dispatch(self, dgram: Datagram) -> None:
         request_id, service, method, payload, reply_node, reply_port, ctx = \
             dgram.payload
         cached = self._response_cache.get(request_id)
@@ -172,9 +157,13 @@ class RpcServer:
                                 node=self.node)
             if span.recording:
                 sim.ctx = span.context
+        prof = _profiler.ACTIVE
         try:
             try:
-                result = handler(payload)
+                # Profiled, the handler's work is charged to the layer that
+                # owns it (e.g. the orchestrator), not to datagram delivery.
+                result = (handler(payload) if prof is None else
+                          prof.call(prof.layer_of(handler), handler, payload))
             except RpcError as exc:
                 if span is not None:
                     span.end("error")
@@ -286,11 +275,8 @@ class RpcChannel:
         prof = _profiler.ACTIVE
         if prof is None:
             return self._call(service, method, request, deadline)
-        prof.push("rpc.call")
-        try:
-            return self._call(service, method, request, deadline)
-        finally:
-            prof.pop()
+        return prof.call("rpc.call", self._call, service, method, request,
+                         deadline)
 
     def _call(self, service: str, method: str, request: Any,
               deadline: float) -> Event:

@@ -278,12 +278,8 @@ class Tracer:
         prof = _profiler.ACTIVE
         if prof is None:
             self._record_span(span)
-            return
-        prof.push("obs.tracer")
-        try:
-            self._record_span(span)
-        finally:
-            prof.pop()
+        else:
+            prof.call("obs.tracer", self._record_span, span)
 
     def _record_span(self, span: Span) -> None:
         if len(self.spans) >= self.max_spans:

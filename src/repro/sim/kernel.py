@@ -494,10 +494,9 @@ class Simulator:
     __slots__ = ("_now", "_queue", "_counter", "_running", "_cutoff",
                  "_wheel_slots", "_wheel_order", "_wheel_next", "_wheel_count",
                  "_far", "_far_min", "_live", "_dead", "_pool", "ctx",
-                 "tracer", "_san", "recorder", "_prof")
+                 "tracer", "recorder", "_hooks")
 
-    def __init__(self, timer_wheel: bool = True, sanitizer: Any = None,
-                 profiler: Any = None):
+    def __init__(self, timer_wheel: bool = True, sanitizer: Any = None):
         self._now = 0.0
         self._queue: List = []
         self._counter = itertools.count()
@@ -535,29 +534,19 @@ class Simulator:
         # The installed ``obs.tracing.Tracer`` (or None).  Components read
         # this at call time; assigning it retroactively enables tracing.
         self.tracer: Any = None
-        # The attached ``sim.sansim.SimSan`` (or None).  Enabling it swaps
-        # this instance's class to the instrumented subclass, so the base
-        # class's hot paths carry no per-event sanitizer check at all —
-        # the disabled cost is zero by construction, like the tracer-off
-        # fast path.
-        self._san: Any = None
         # The installed ``obs.flightrec.FlightRecorder`` (or None).
         # Components read this at log sites; None keeps the disabled cost
         # at one attribute load.
         self.recorder: Any = None
-        # The attached ``obs.profiler.Profiler`` (or None).  Like the
-        # sanitizer, enabling it swaps this instance's class to the
-        # instrumented subclass, so the base hot loop carries no per-event
-        # profiling check when disabled.
-        self._prof: Any = None
+        # The instrumentation seam: the ordered tuple of hooks (SimSan, the
+        # profiler; see :class:`HookedSimulator`).  Registering one swaps
+        # this instance's class to :class:`HookedSimulator` and removing
+        # the last swaps it back, so the base class's hot paths carry no
+        # per-event hook check at all — the disabled cost is zero by
+        # construction, like the tracer-off fast path.
+        self._hooks: tuple = ()
         if sanitizer is not None:
-            from .sansim import _install  # deferred: sansim imports kernel
-            _install(self, sanitizer)
-        if profiler is not None:
-            # Deferred import for the same layering reason; mutually
-            # exclusive with the sanitizer (both claim the class slot).
-            from ..obs.profiler import _install as _install_prof
-            _install_prof(self, profiler)
+            sanitizer.attach(self)
 
     @property
     def now(self) -> float:
@@ -892,6 +881,21 @@ class Simulator:
                 continue
             return None
 
+    # -- instrumentation seam ----------------------------------------------
+
+    def add_hook(self, hook: Any) -> None:
+        """Register ``hook`` after those already installed (a no-op if it
+        is installed); the simulator runs as a :class:`HookedSimulator`."""
+        self.__class__ = HookedSimulator
+        if hook not in self._hooks:
+            self._hooks += (hook,)
+
+    def remove_hook(self, hook: Any) -> None:
+        """Unregister ``hook``; the last one out restores the plain class."""
+        self._hooks = tuple(h for h in self._hooks if h is not hook)
+        if not self._hooks:
+            self.__class__ = Simulator
+
     # -- awaitable factories ----------------------------------------------
 
     def event(self, name: str = "") -> Event:
@@ -949,90 +953,88 @@ class Simulator:
         self._execute(entry)
         return True
 
+    def _begin_run(self, until: Optional[float]) -> None:
+        """The checks every ``run()`` makes before its loop starts."""
+        if self._running:
+            raise SimulationError("run() is not reentrant")
+        if until is not None and until < self._now:
+            raise ValueError(
+                f"cannot run back in time (until={until}, now={self._now})")
+        self._running = True
+
     def run(self, until: Optional[float] = None) -> float:
         """Run until the live events drain or ``until`` (absolute time).
 
         Returns the clock value when the run stops.  When stopping at
         ``until``, the clock is advanced to exactly ``until`` and any events
-        scheduled for later remain queued.  Cancelled callbacks never run
-        and never advance the clock: a run whose tail is all-cancelled ends
-        at the last live event.
+        scheduled for later remain queued; an ``until`` in the past raises
+        ``ValueError``.  Cancelled callbacks never run and never advance the
+        clock: a run whose tail is all-cancelled ends at the last live event.
         """
-        if self._running:
-            raise SimulationError("run() is not reentrant")
-        self._running = True
+        self._begin_run(until)
+        stop = _INF if until is None else until
         heappop = heapq.heappop
         queue = self._queue
+        pool = self._pool
         try:
-            if until is None:
-                # Hot loop: no stop-time check; the tracer check stays
-                # per-iteration so installing a tracer mid-run still works.
-                # _surface() is inlined — one call frame per event is the
-                # single largest fixed cost at millions of events/run.
-                pool = self._pool
-                while True:
-                    if queue:
-                        head = queue[0]
-                        entry = head[2]
-                        if entry.fn is None:
-                            heappop(queue)
-                            # Dead entries are only released entries here
-                            # (pooled internals are never cancelled).
-                            if entry._pooled and len(pool) < _POOL_MAX:
-                                pool.append(entry)
-                            continue
-                        # _far_min / _wheel_next are +inf whenever the far
-                        # buffer / wheel are empty, so the <= checks alone
-                        # are safe (and one attribute load cheaper).
-                        if self._far_min <= head[0]:
-                            self._flush_far()
-                            continue
-                        if self._wheel_next <= head[0]:
-                            self._wheel_flush_min()
-                            continue
-                    elif self._far:
+            # Hot loop: the tracer check stays per-iteration so installing a
+            # tracer mid-run still works.  _surface() and _execute() are
+            # inlined — one call frame per event is the single largest fixed
+            # cost at millions of events/run.
+            while True:
+                if queue:
+                    head = queue[0]
+                    entry = head[2]
+                    if entry.fn is None:
+                        heappop(queue)
+                        # Dead entries are only released entries here
+                        # (pooled internals are never cancelled).
+                        if entry._pooled and len(pool) < _POOL_MAX:
+                            pool.append(entry)
+                        continue
+                    # _far_min / _wheel_next are +inf whenever the far
+                    # buffer / wheel are empty, so the <= checks alone
+                    # are safe (and one attribute load cheaper).
+                    if self._far_min <= head[0]:
                         self._flush_far()
                         continue
-                    elif self._wheel_count:
+                    if self._wheel_next <= head[0]:
                         self._wheel_flush_min()
                         continue
-                    else:
-                        break
-                    heappop(queue)
-                    self._now = head[0]
-                    self._live -= 1
-                    fn = entry.fn
-                    args = entry.args
-                    ctx = entry.ctx
-                    entry.fn = None
-                    if entry._pooled:
-                        entry.args = ()
-                        entry.ctx = None
-                        if len(pool) < _POOL_MAX:
-                            pool.append(entry)
-                    if self.tracer is None:
-                        fn(*args)
-                    else:
-                        prev, self.ctx = self.ctx, ctx
-                        try:
-                            fn(*args)
-                        finally:
-                            self.ctx = prev
-                return self._now
-            while True:
-                entry = self._surface()
-                if entry is None:
-                    if until is not None and until > self._now:
-                        self._now = until
+                elif self._far:
+                    self._flush_far()
+                    continue
+                elif self._wheel_count:
+                    self._wheel_flush_min()
+                    continue
+                else:
                     break
-                if until is not None and entry.when > until:
-                    self._now = until
+                if head[0] > stop:
                     break
                 heappop(queue)
-                self._now = entry.when
-                self._execute(entry)
+                self._now = head[0]
+                self._live -= 1
+                fn = entry.fn
+                args = entry.args
+                ctx = entry.ctx
+                entry.fn = None
+                if entry._pooled:
+                    entry.args = ()
+                    entry.ctx = None
+                    if len(pool) < _POOL_MAX:
+                        pool.append(entry)
+                if self.tracer is None:
+                    fn(*args)
+                else:
+                    prev, self.ctx = self.ctx, ctx
+                    try:
+                        fn(*args)
+                    finally:
+                        self.ctx = prev
         finally:
             self._running = False
+        if until is not None:
+            self._now = until
         return self._now
 
     def run_until_triggered(self, event: Event, limit: float = float("inf")) -> Any:
@@ -1052,3 +1054,64 @@ class Simulator:
                 raise value
             raise SimulationError(f"awaited event failed: {value!r}")
         return event.value
+
+
+class HookedSimulator(Simulator):
+    """The simulator while any hook is installed (:meth:`Simulator.add_hook`).
+
+    A hook is an instrument such as SimSan or the profiler, with five
+    methods called in registration order, their closing halves in reverse
+    order so the hooks nest:
+
+    - ``on_schedule(handle)`` after a public ``schedule()``; returns the
+      handle the caller gets (SimSan hands out a checking proxy);
+    - ``before_execute(entry)`` / ``after_execute()`` around each
+      dispatched callback, the latter even when it raises;
+    - ``on_run()`` / ``on_drain(sim)`` around each ``run()`` loop.
+
+    Layout-compatible with :class:`Simulator` (empty ``__slots__``), which
+    is what makes the class swap legal.  It runs the generic
+    ``_surface()``/``_execute()`` loop that ``step()`` and
+    ``run_until_triggered()`` share, which implements the same total order
+    as the base class's inlined loop, so hooks never perturb event order —
+    the parity tests pin this.
+    """
+
+    __slots__ = ()
+
+    def schedule(self, delay: float, fn: Callable, *args: Any) -> Any:
+        handle = Simulator.schedule(self, delay, fn, *args)
+        for hook in self._hooks:
+            handle = hook.on_schedule(handle)
+        return handle
+
+    def _execute(self, entry: ScheduledCall) -> None:
+        hooks = self._hooks
+        for hook in hooks:
+            hook.before_execute(entry)
+        try:
+            Simulator._execute(self, entry)
+        finally:
+            for hook in reversed(hooks):
+                hook.after_execute()
+
+    def run(self, until: Optional[float] = None) -> float:
+        self._begin_run(until)
+        hooks = self._hooks
+        for hook in hooks:
+            hook.on_run()
+        try:
+            while True:
+                entry = self._surface()
+                if entry is None or (until is not None and entry.when > until):
+                    break
+                heapq.heappop(self._queue)
+                self._now = entry.when
+                self._execute(entry)
+        finally:
+            self._running = False
+            for hook in reversed(hooks):
+                hook.on_drain(self)
+        if until is not None:
+            self._now = until
+        return self._now

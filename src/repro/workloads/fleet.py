@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..lte.ue import Ue, UeState
-from ..obs import profiler as _profiler
 from ..sim.kernel import PeriodicCall, Simulator
 from ..sim.monitor import Monitor
 from ..sim.rng import RngRegistry
@@ -317,17 +316,6 @@ class UeFleet:
     # -- the batched tick --------------------------------------------------------
 
     def _advance(self) -> None:
-        prof = _profiler.ACTIVE
-        if prof is None:
-            self._advance_tick()
-            return
-        prof.push("fleet.tick")
-        try:
-            self._advance_tick()
-        finally:
-            prof.pop()
-
-    def _advance_tick(self) -> None:
         self.ticks += 1
         dt = self.tick
         counters = self.counters

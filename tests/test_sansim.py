@@ -9,8 +9,8 @@ as a plain one.
 import pytest
 
 from repro.sim import RngRegistry, SimSan, Simulator
-from repro.sim.kernel import SimulationError
-from repro.sim.sansim import SanHandle, _SanSimulator
+from repro.sim.kernel import HookedSimulator, SimulationError
+from repro.sim.sansim import SanHandle
 
 
 def drain(sim, until=60.0):
@@ -23,13 +23,14 @@ def drain(sim, until=60.0):
 def test_plain_simulator_class_is_untouched():
     sim = Simulator()
     assert type(sim) is Simulator
-    assert sim._san is None
+    assert sim._hooks == ()
 
 
 def test_sanitized_simulator_swaps_class_and_keeps_behavior():
     san = SimSan()
     sim = Simulator(sanitizer=san)
-    assert type(sim) is _SanSimulator
+    assert type(sim) is HookedSimulator
+    assert sim._hooks == (san,)
     fired = []
     sim.schedule(1.0, fired.append, 1)
     drain(sim)

@@ -5,6 +5,7 @@ import pytest
 from repro.sim import (
     Event,
     Interrupted,
+    SimSan,
     SimulationError,
     Simulator,
 )
@@ -56,6 +57,21 @@ def test_run_until_advances_clock_when_queue_drains_early():
     sim.schedule(1.0, lambda: None)
     sim.run(until=5.0)
     assert sim.now == 5.0
+
+
+@pytest.mark.parametrize("hooked", [False, True], ids=["plain", "hooked"])
+def test_run_until_in_the_past_is_rejected(hooked):
+    sim = Simulator(sanitizer=SimSan() if hooked else None)
+    fired = []
+    sim.call_later(20.0, fired.append, 20)
+    sim.run(until=10.0)
+    with pytest.raises(ValueError):
+        sim.run(until=5.0)
+    # The clock never moved back, so a timer armed now fires after 10.
+    assert sim.now == 10.0
+    sim.call_later(1.0, lambda: fired.append(sim.now))
+    sim.run()
+    assert fired == [11.0, 20]
 
 
 def test_process_timeout_and_return_value():
