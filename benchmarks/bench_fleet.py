@@ -17,6 +17,12 @@ Two legs, measured in the same session with the same per-UE dynamics
   NAS stack (a ``UeFleet`` with a size-0 cohort and a 100% sample
   population), at the largest population that configuration can carry.
 
+Full mode adds a third point, ``million``: the fleet leg with 10^6
+subscribers on the same 100 AGWs for the same 300 sim-s, in one process,
+with the same exact canaries.  It runs in a fresh child process, so its
+``peak_rss_kb`` is its own high-water mark; the other legs share this
+process, and theirs is the process-wide mark at the end of the leg.
+
 The headline metric is **subscriber-sim-seconds per wall second**
 (population x simulated duration / wall time): the paper-scale question
 is how much subscriber-time one wall-second buys.  The committed
@@ -39,7 +45,9 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import gc
+import multiprocessing
 import json
 import os
 import resource
@@ -71,6 +79,10 @@ SIZES = {
     "smoke": (20, 10_000, 50, 200, 120.0),
     "full": (100, 100_000, 500, 2_000, 300.0),
 }
+
+# Full mode's single-process 10^6-subscriber point: the fleet leg at ten
+# times the subscribers, same AGWs, sample and duration.
+MILLION = 1_000_000
 
 # In-session speedup floors (fleet vs coroutine subscriber-rate ratio).
 # Full mode's 10x is the acceptance bar from the scale-out issue; smoke
@@ -200,6 +212,12 @@ def coroutine_leg(num_ues: int, duration: float) -> dict:
     }
 
 
+def million_leg(num_agws: int, sample_ues: int, duration: float) -> dict:
+    """The 10^6-subscriber point: the fleet leg at ``MILLION`` subscribers."""
+    return _best_of(lambda: fleet_leg(num_agws, MILLION, sample_ues,
+                                      duration))
+
+
 def _best_of(measure, reps: int = 3) -> dict:
     """Min-wall estimator, as in bench_kernel: timing noise is additive."""
     best = None
@@ -218,11 +236,20 @@ def run_mode(mode: str) -> dict:
     coroutine = _best_of(lambda: coroutine_leg(coroutine_ues, duration))
     ratio = (fleet["subscriber_sim_seconds_per_wall_sec"]
              / coroutine["subscriber_sim_seconds_per_wall_sec"])
-    return {
+    section = {
         "fleet": fleet,
         "coroutine": coroutine,
         "speedup_vs_coroutine": round(ratio, 2),
     }
+    if mode == "full":
+        # A fresh (spawned, not forked) process starts its RSS high-water
+        # mark from scratch, so the point's peak RSS is its own.
+        spawn = multiprocessing.get_context("spawn")
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=1, mp_context=spawn) as pool:
+            section["million"] = pool.submit(
+                million_leg, agws, sample_ues, duration).result()
+    return section
 
 
 def check(fresh: dict, committed: dict, mode: str) -> list:
@@ -239,13 +266,18 @@ def check(fresh: dict, committed: dict, mode: str) -> list:
             f"fleet speedup {new['speedup_vs_coroutine']}x below the "
             f"{mode} {floor}x floor")
     rate_floor = SUBSCRIBER_RATE_FLOOR[mode]
-    rate = new["fleet"]["subscriber_sim_seconds_per_wall_sec"]
-    if rate < rate_floor:
-        failures.append(
-            f"fleet subscriber rate {rate:,}/s below the {mode} hard floor "
-            f"{rate_floor:,.0f}/s")
+    for leg in ("fleet", "million"):
+        if leg not in new:
+            continue
+        rate = new[leg]["subscriber_sim_seconds_per_wall_sec"]
+        if rate < rate_floor:
+            failures.append(
+                f"{leg} subscriber rate {rate:,}/s below the {mode} hard "
+                f"floor {rate_floor:,.0f}/s")
     # Deterministic canaries: exact for the fixed seed and workload.
-    for leg in ("fleet", "coroutine"):
+    for leg in ("fleet", "coroutine", "million"):
+        if leg not in old:
+            continue
         for canary in ("attached_at_end", "attach_accepted",
                        "sample_attach_successes", "sessions_at_end",
                        "events"):
@@ -281,7 +313,9 @@ def main(argv=None) -> int:
         section = snapshot[mode]
         fleet = section["fleet"]
         coroutine = section["coroutine"]
-        for leg in (fleet, coroutine):
+        for leg in (fleet, coroutine, section.get("million")):
+            if leg is None:
+                continue
             print(f"  {leg['mode']:<10}: {leg['subscribers']:>9,} subs x "
                   f"{leg['sim_duration']:g}s sim in {leg['wall_seconds']}s "
                   f"wall  ({leg['subscriber_sim_seconds_per_wall_sec']:,} "

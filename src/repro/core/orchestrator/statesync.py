@@ -472,7 +472,7 @@ class ConvergenceTracker:
             self.last_lag[network_id] = lag
             self.stats["converged"] += 1
             if self.monitor is not None:
-                self.monitor.series(self.SERIES).record(now, lag)
+                self.monitor.record(self.SERIES, now, lag)
             if self.metricsd is not None:
                 self.metricsd.ingest(self.SERIES, lag, now,
                                      labels={"network_id": network_id})

@@ -8,7 +8,8 @@ that contention.
 
 Model
 -----
-- The CPU has ``cores`` cores and advances in fixed quanta (default 50 ms).
+- The CPU has ``cores`` cores and serves work on a grid of fixed quanta
+  (default 50 ms).
 - **Discrete tasks** (:meth:`CpuModel.submit`) carry a service demand in
   core-seconds and belong to a named class (e.g. ``"cp"``).  Tasks are served
   FIFO within their class; at most one core serves a task at a time (an
@@ -24,15 +25,46 @@ Model
   its own cores and excess capacity in one pool is *not* available to the
   other - reproducing the trade-off the paper measures.
 
+Event-driven quanta
+-------------------
+The model ticks (one kernel event per quantum) only while discrete tasks
+are queued.  While it holds only fluid load, every quantum serves the same
+demands, so it schedules nothing and keeps its place on the quantum grid as
+one float, the time of the next quantum.  The skipped quanta are settled
+lazily, as one batch, at the next :meth:`~CpuModel.submit`,
+:meth:`~CpuModel.set_fluid_demand`, served-rate read, :meth:`~CpuModel.stop`
+or read of its utilization series.  The batch walks the grid with the same
+float additions a tick chain would make, so task completions, served rates
+and utilization samples equal those of a model that polls every quantum
+(the first quantum of simulated time always ticks for real; see
+``CpuModel._must_tick``).  When neither tasks nor fluid remain, one last
+tick runs at the next grid point and the grid ends there; the next piece
+of work starts a new grid one quantum after it arrives.
+
+Ties are the one exception.  A skipped quantum due exactly at ``sim.now``
+(the same float) counts as already run.  A polling model scheduled that
+quantum's tick while serving the one before it, so an operation landing on
+the same float from an event scheduled *earlier* than that ran before the
+tick: for example ``call_later(0.1, cpu.submit, ...)`` issued at t=0 with
+fluid load set, where the grid is 0.05, 0.1, ...  Here such an operation
+takes effect one quantum later than under polling.  An operation scheduled
+after the preceding quantum was served ties the same way in both models.
+The kernel keeps no record of when an event was scheduled, so the model
+cannot tell the two apart; the figure experiments and the benchmark
+workloads contain no such tie (DESIGN.md §6.4).
+
 Utilization per quantum is recorded into an optional
 :class:`~repro.sim.monitor.Monitor` as ``cpu.<name>.util`` (total, fraction
-of all cores) and ``cpu.<name>.util.<class>``.
+of all cores) and ``cpu.<name>.util.<class>``; the model registers its
+batch settling as the catch-up for those series, so a reader sees every
+sample up to ``sim.now``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterable, Optional, Tuple
+from itertools import islice
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .fairshare import max_min_share
 from .kernel import Event, Simulator
@@ -96,8 +128,15 @@ class CpuModel:
         self._fluid: Dict[str, Dict[str, float]] = {}  # cls -> source -> rate
         self._fluid_served_rate: Dict[str, float] = {}  # cls -> core-sec/s last quantum
         self._queued_work: Dict[str, float] = {}
-        self._ticking = False
+        # The quantum grid: ``_next`` is the time of the next quantum to
+        # serve, None while idle.  With ``_armed`` a real ``_tick`` is
+        # scheduled at ``_next``; without it the CPU holds only fluid load
+        # and ``_settle`` serves the due quanta in one batch.
+        self._next: Optional[float] = None
+        self._armed = False
         self._stopped = False
+        if monitor is not None:
+            monitor.add_catch_up(f"cpu.{name}.util", self._settle)
 
     # -- public API ---------------------------------------------------------
 
@@ -109,29 +148,32 @@ class CpuModel:
         """
         if demand <= 0:
             raise ValueError("task demand must be positive")
+        self._settle()
         done = self.sim.event(f"{self.name}.task.{cls}")
         task = CpuTask(cls, demand, self.sim.now, done)
         self._queues.setdefault(cls, deque()).append(task)
         self._queued_work[cls] = self._queued_work.get(cls, 0.0) + demand
-        self._ensure_ticking()
+        self._wake()
         return done
 
     def set_fluid_demand(self, cls: str, source: str, rate: float) -> None:
         """Set the continuous work rate (core-sec/s) offered by ``source``."""
         if rate < 0:
             raise ValueError("fluid rate must be >= 0")
+        self._settle()
         per_source = self._fluid.setdefault(cls, {})
         if rate == 0.0:
             per_source.pop(source, None)
         else:
             per_source[source] = rate
-        self._ensure_ticking()
+        self._wake()
 
     def fluid_demand(self, cls: str) -> float:
         return sum(self._fluid.get(cls, {}).values())
 
     def fluid_served_rate(self, cls: str) -> float:
         """Core-sec/s actually delivered to ``cls`` fluid in the last quantum."""
+        self._settle()
         return self._fluid_served_rate.get(cls, 0.0)
 
     def fluid_service_fraction(self, cls: str) -> float:
@@ -149,15 +191,46 @@ class CpuModel:
         return self._queued_work.get(cls, 0.0)
 
     def stop(self) -> None:
-        """Stop ticking (used when tearing down an experiment)."""
+        """Stop ticking and drop the monitor catch-up (used when tearing
+        down an experiment)."""
+        self._settle()
         self._stopped = True
+        if not self._armed:
+            self._next = None
+        if self.monitor is not None:
+            self.monitor.remove_catch_up(f"cpu.{self.name}.util", self._settle)
 
     # -- internals -----------------------------------------------------------
 
-    def _ensure_ticking(self) -> None:
-        if not self._ticking and not self._stopped:
-            self._ticking = True
-            self.sim.call_later(self.quantum, self._tick)
+    def _has_tasks(self) -> bool:
+        return any(self._queues.values())
+
+    def _has_fluid(self) -> bool:
+        return any(self._fluid.values())
+
+    def _must_tick(self, now: float) -> bool:
+        """Whether the quantum after ``now`` needs a real tick.
+
+        Tasks need one, and so does the last, idle-detecting quantum once
+        no fluid is left.  Fluid alone goes dormant, but only from one
+        quantum of simulated time on: then ``now >= _next / 2`` at every
+        later wake-up, so ``_next - now`` is exact (Sterbenz) and the woken
+        tick lands on the grid float itself.
+        """
+        return self._has_tasks() or not self._has_fluid() or now < self.quantum
+
+    def _wake(self) -> None:
+        if self._stopped or self._armed:
+            return
+        now = self.sim.now
+        if self._next is None:
+            self._next = now + self.quantum
+            delay = self.quantum
+        else:
+            delay = self._next - now
+        if self._must_tick(now):
+            self._armed = True
+            self.sim.call_later(delay, self._tick)
 
     def _pools(self) -> Iterable[_Pool]:
         if self.partition is None:
@@ -168,28 +241,68 @@ class CpuModel:
                 yield _Pool(cores, (cls,))
 
     def _tick(self) -> None:
+        # ``_armed`` stays set while the quantum is served, so a reader
+        # running inside it finds nothing to settle.
         if self._stopped:
-            self._ticking = False
+            self._armed = False
+            self._next = None
             return
+        now = self.sim.now
+        self._record(self._serve(), (now,))
         dt = self.quantum
-        served_by_class: Dict[str, float] = {}
-        for pool in self._pools():
-            self._serve_pool(pool, dt, served_by_class)
-        total_served = sum(served_by_class.values())
-        if self.monitor is not None:
-            self.monitor.record(f"cpu.{self.name}.util", self.sim.now,
-                                total_served / (self.cores * dt))
-            for cls, served in served_by_class.items():
-                self.monitor.record(f"cpu.{self.name}.util.{cls}", self.sim.now,
-                                    served / (self.cores * dt))
-        # Keep ticking while there is anything to do; go idle otherwise.
-        if any(self._queues.get(c) for c in self._queues) or any(
-            self._fluid.get(c) for c in self._fluid
-        ):
+        if not (self._has_tasks() or self._has_fluid()):
+            self._armed = False
+            self._next = None
+            self._fluid_served_rate.clear()
+            return
+        self._next = now + dt
+        if self._must_tick(now):
             self.sim.call_later(dt, self._tick)
         else:
-            self._ticking = False
-            self._fluid_served_rate.clear()
+            self._armed = False
+
+    def _settle(self) -> None:
+        """Serve the fluid-only quanta due by ``sim.now`` in one batch.
+
+        Dormant means no tasks and constant fluid demand, so every due
+        quantum serves the same amounts: one evaluation covers the batch.
+        """
+        nxt = self._next
+        if self._armed or nxt is None:
+            return
+        now = self.sim.now
+        if nxt > now:
+            return
+        dt = self.quantum
+        times: List[float] = []
+        # ``<=``: a quantum due at ``now`` counts as already run (the tie
+        # rule in the module docstring).
+        while nxt <= now:
+            times.append(nxt)
+            nxt += dt
+        self._next = nxt
+        self._record(self._serve(), times)
+
+    def _serve(self) -> Dict[str, float]:
+        """Serve one quantum; returns the core-seconds served per class."""
+        served_by_class: Dict[str, float] = {}
+        for pool in self._pools():
+            self._serve_pool(pool, self.quantum, served_by_class)
+        return served_by_class
+
+    def _record(self, served_by_class: Dict[str, float],
+                times: Sequence[float]) -> None:
+        monitor = self.monitor
+        if monitor is None:
+            return
+        capacity = self.cores * self.quantum
+        samples = [(f"cpu.{self.name}.util",
+                    sum(served_by_class.values()) / capacity)]
+        samples.extend((f"cpu.{self.name}.util.{cls}", served / capacity)
+                       for cls, served in served_by_class.items())
+        for name, value in samples:
+            for t in times:
+                monitor.record(name, t, value)
 
     def _serve_pool(self, pool: _Pool, dt: float, served_by_class: Dict[str, float]) -> None:
         capacity = pool.cores * dt
@@ -205,10 +318,7 @@ class CpuModel:
         fluid_need: Dict[str, float] = {}
         for cls in pool.classes:
             queue = self._queues.get(cls)
-            tasks = []
-            if queue:
-                for task in list(queue)[:max_parallel]:
-                    tasks.append(task)
+            tasks = list(islice(queue, max_parallel)) if queue else []
             runnable[cls] = tasks
             discrete_need = sum(min(t.remaining, dt) for t in tasks)
             fneed = self.fluid_demand(cls) * dt
@@ -246,3 +356,4 @@ class CpuModel:
             if self._fluid.get(cls) or fluid_need[cls] > 0:
                 self._fluid_served_rate[cls] = fgrant / dt
             served_by_class[cls] = served_by_class.get(cls, 0.0) + served_cls
+

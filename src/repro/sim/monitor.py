@@ -4,13 +4,21 @@ A :class:`Monitor` collects named ``(time, value)`` series during a run and
 offers the aggregations the paper's figures need: windowed means (CPU
 utilization in Fig. 5), binned success rates (5-second CSR bins in Fig. 6),
 and percentiles/medians (Fig. 8).
+
+Some writers record lazily: a CPU model holding only fluid load settles its
+skipped quanta in one batch instead of ticking every quantum.  Such a
+writer registers a catch-up callback for its series prefix with
+:meth:`Monitor.add_catch_up`, and the monitor's reader entry points run it
+before they read one of those series, so a reader always sees the samples
+the writer owes up to ``sim.now``.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 
 class Exemplar(NamedTuple):
@@ -42,6 +50,11 @@ class Series:
       percentiles/binning usable (a uniform-in-index subsample) while
       ``mean``/``total``/``max``/``last``/``count`` remain exact.  No RNG
       is involved, so replay determinism is untouched.
+
+    A series holds only what its writers have settled when it was
+    fetched: lazy writers catch up in :meth:`Monitor.series`, so fetch the
+    series from its monitor at the time you read it rather than keeping a
+    reference across simulated time.
     """
 
     __slots__ = ("name", "times", "values", "max_samples", "_stride",
@@ -276,19 +289,61 @@ def median(values: Sequence[float]) -> float:
 
 
 class Monitor:
-    """A registry of named series plus counter conveniences."""
+    """A registry of named series plus counter conveniences.
+
+    The reader entry points (:meth:`series`, :meth:`has_series`,
+    :meth:`percentile`, :meth:`median`) first run the catch-up callbacks
+    registered with :meth:`add_catch_up` for the series they read, so a
+    lazy writer settles what it owes up to ``sim.now`` before its series
+    is read; :meth:`names` runs every catch-up.  The writer entry points
+    (:meth:`record`, :meth:`bounded_series`) run none: a write must not
+    force another writer's batch.
+    """
 
     def __init__(self):
         self._series: Dict[str, Series] = {}
         self._counters: Dict[str, float] = {}
         self._gauges: Dict[str, float] = {}
+        self._catch_ups: Dict[str, List[Callable[[], None]]] = {}
 
-    def series(self, name: str) -> Series:
+    def add_catch_up(self, prefix: str, fn: Callable[[], None]) -> None:
+        """Run ``fn()`` before every read of the series named ``prefix``
+        or ``prefix.<anything>``."""
+        self._catch_ups.setdefault(prefix, []).append(fn)
+
+    def remove_catch_up(self, prefix: str, fn: Callable[[], None]) -> None:
+        fns = self._catch_ups.get(prefix)
+        if fns and fn in fns:
+            fns.remove(fn)
+            if not fns:
+                del self._catch_ups[prefix]
+
+    def _catch_up(self, name: str) -> None:
+        """Run the catch-ups registered under ``name`` or a dotted prefix
+        of it."""
+        catch_ups = self._catch_ups
+        if not catch_ups:
+            return
+        end = name.find(".")
+        while True:
+            fns = catch_ups.get(name if end < 0 else name[:end])
+            if fns:
+                for fn in fns:
+                    fn()
+            if end < 0:
+                return
+            end = name.find(".", end + 1)
+
+    def _get(self, name: str) -> Series:
         s = self._series.get(name)
         if s is None:
             s = Series(name)
             self._series[name] = s
         return s
+
+    def series(self, name: str) -> Series:
+        self._catch_up(name)
+        return self._get(name)
 
     def bounded_series(self, name: str, max_samples: int = 4096) -> Series:
         """The named series in streaming mode (bounded sample buffer).
@@ -312,7 +367,7 @@ class Monitor:
 
     def record(self, name: str, t: float, value: float,
                trace_id: Optional[int] = None) -> None:
-        self.series(name).record(t, value, trace_id=trace_id)
+        self._get(name).record(t, value, trace_id=trace_id)
 
     def percentile(self, name: str, q: float) -> float:
         """Percentile over a named series' values (raises if empty)."""
@@ -341,7 +396,11 @@ class Monitor:
         return dict(self._gauges)
 
     def names(self) -> Iterable[str]:
+        for fns in list(self._catch_ups.values()):
+            for fn in fns:
+                fn()
         return self._series.keys()
 
     def has_series(self, name: str) -> bool:
+        self._catch_up(name)
         return name in self._series

@@ -188,3 +188,34 @@ def test_bin_index_invariant_over_grid():
             t = k * width
             idx = _bin_index(t, 0.0, width)
             assert idx * width <= t < (idx + 1) * width
+
+
+def test_monitor_readers_run_the_catch_ups_of_the_series_they_read():
+    monitor = Monitor()
+    calls = []
+
+    def settle():
+        calls.append("cpu.a.util")
+
+    monitor.add_catch_up("cpu.a.util", settle)
+    monitor.add_catch_up("cpu.ab.util", lambda: calls.append("cpu.ab.util"))
+    # Writers run no catch-up.
+    monitor.record("cpu.a.util", 0.0, 1.0)
+    monitor.bounded_series("y").record(0.0, 1.0)
+    assert calls == []
+    # A read runs the catch-ups registered under the series' name or one
+    # of its dotted prefixes, and no other.
+    monitor.series("cpu.a.util")
+    monitor.has_series("cpu.a.util.cp")
+    monitor.percentile("cpu.a.util", 50.0)
+    monitor.median("cpu.a.util")
+    monitor.series("cpu.a.utilization")
+    monitor.series("attach.latency")
+    assert calls == ["cpu.a.util"] * 4
+    calls.clear()
+    list(monitor.names())           # names() runs every catch-up
+    assert sorted(calls) == ["cpu.a.util", "cpu.ab.util"]
+    calls.clear()
+    monitor.remove_catch_up("cpu.a.util", settle)
+    monitor.series("cpu.a.util")
+    assert calls == []
